@@ -255,6 +255,14 @@ def _observe_cache_counts(metrics, hits: int, misses: int) -> None:
         )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(
     worker: Callable[[Any, Any], Any],
     units: Sequence[Any],
@@ -269,9 +277,11 @@ def run_sweep(
 
     ``jobs=1`` (the default) runs serially in-process — no pool, no
     subprocesses, bit-for-bit the historical code path.  ``jobs > 1``
-    fans the unserved units out over a spawn pool; the merge is by unit
-    index, so the returned ``results`` list is identical to the serial
-    one regardless of scheduling.
+    fans the unserved units out over a spawn pool of at most
+    :func:`usable_cpus` workers (one usable CPU means in-process); the
+    merge is by unit index, so the returned ``results`` list is
+    identical to the serial one regardless of scheduling.
+    ``stats.jobs`` records the requested ``jobs``.
 
     With ``cache`` (and matching per-unit ``keys`` hashes), cached cells
     are served without recomputation and fresh results are written back.
@@ -301,7 +311,8 @@ def run_sweep(
 
     stats.computed = len(pending)
     if pending:
-        workers = min(jobs, len(pending))
+        # more workers than usable CPUs only adds spawn start-up cost
+        workers = min(jobs, len(pending), usable_cpus())
         if multiprocessing.current_process().daemon:
             # pool workers are daemonic and may not spawn children; a
             # nested sweep (e.g. a scenario fan-out running a parallel

@@ -9,7 +9,9 @@ Two measurement modes:
 
 * ``simulated`` — actually runs the discrete-event simulator with an
   MCR-DL communicator issuing the operation in a timed loop (this is
-  what the paper's suite does with OMB-style scripts);
+  what the paper's suite does with OMB-style scripts).  It is
+  timing-only: the buffers are virtual tensors, so no bytes move and a
+  64 MiB cell costs no more memory than a 256 B one;
 * ``analytic`` — prices the operation directly from the backend cost
   model plus per-call overheads.  Orders of magnitude faster for wide
   sweeps; the test suite verifies both modes agree on rankings.
@@ -83,38 +85,23 @@ class TuningReport:
 
 
 class _BenchBuffers:
-    """Lazily allocated tensors shared by the simulated op runners."""
+    """Timing-only tensors shared by the simulated op runners.
 
-    __slots__ = ("ctx", "numel", "_cache")
+    Simulated latency depends only on byte counts, never on data, so
+    every buffer is a :meth:`~repro.sim.process.RankContext.virtual_tensor`
+    with the element count a real benchmark would allocate: identical
+    wire sizes and timestamps, but no storage and no datapath work."""
+
+    __slots__ = ("x", "out", "big", "small", "pad")
 
     def __init__(self, ctx, numel: int):
-        self.ctx = ctx
-        self.numel = numel
-        self._cache: dict[str, object] = {}
-
-    def get(self, name: str, numel: int):
-        buf = self._cache.get(name)
-        if buf is None:
-            buf = self._cache[name] = self.ctx.zeros(numel)
-        return buf
-
-    @property
-    def x(self):
-        return self.get("x", self.numel)
-
-    @property
-    def out(self):
-        return self.get("out", self.numel * self.ctx.world_size)
-
-    @property
-    def big(self):
-        return self.get("big", self.numel * self.ctx.world_size)
-
-
-def _run_reduce_scatter(comm, backend_name, ctx, bufs):
-    small = bufs.get("small", max(1, bufs.numel // ctx.world_size))
-    pad = bufs.get("pad", small.numel() * ctx.world_size)
-    comm.reduce_scatter(backend_name, small, pad)
+        ws = ctx.world_size
+        small = max(1, numel // ws)
+        self.x = ctx.virtual_tensor(numel)
+        self.out = ctx.virtual_tensor(numel * ws)
+        self.big = ctx.virtual_tensor(numel * ws)
+        self.small = ctx.virtual_tensor(small)
+        self.pad = ctx.virtual_tensor(small * ws)
 
 
 #: simulated micro-benchmark body per op family
@@ -124,7 +111,9 @@ _SIM_OP_RUNNERS = {
     OpFamily.ALLTOALL: lambda comm, b, ctx, bufs: comm.all_to_all_single(
         b, bufs.big, bufs.big
     ),
-    OpFamily.REDUCE_SCATTER: _run_reduce_scatter,
+    OpFamily.REDUCE_SCATTER: lambda comm, b, ctx, bufs: comm.reduce_scatter(
+        b, bufs.small, bufs.pad
+    ),
     OpFamily.BROADCAST: lambda comm, b, ctx, bufs: comm.bcast(b, bufs.x, root=0),
     OpFamily.REDUCE: lambda comm, b, ctx, bufs: comm.reduce(b, bufs.x, root=0),
     OpFamily.GATHER: lambda comm, b, ctx, bufs: comm.gather(

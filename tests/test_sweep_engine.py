@@ -9,11 +9,13 @@ pool startup costs ~1.5 s per test on a small host.
 
 import dataclasses
 import json
+import os
 
 import pytest
 
 from repro.backends.base import backend_class, clear_cost_caches
 from repro.backends.ops import OpFamily
+from repro.bench import sweep as sweep_mod
 from repro.bench.microbench import sweep_backends
 from repro.bench.sweep import (
     _MISS,
@@ -34,6 +36,10 @@ def _affine(context, unit):
 
 def _returns_none(context, unit):
     return None
+
+
+def _pid(context, unit):
+    return os.getpid()
 
 
 def _keys_for(units):
@@ -65,6 +71,19 @@ class TestRunSweep:
         parallel = run_sweep(_affine, units, context=5, jobs=3)
         assert parallel.results == serial.results
         assert parallel.stats.jobs == 3
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 1)
+        outcome = run_sweep(_pid, list(range(4)), jobs=4)
+        assert outcome.results == [os.getpid()] * 4  # no pool: in-process
+        assert outcome.stats.jobs == 4  # the requested value
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sweep_mod.usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweep_mod.usable_cpus() == 1
 
     def test_cache_cold_then_warm(self, tmp_path):
         units = [4, 5, 6]
@@ -156,6 +175,17 @@ class TestTunerSweep:
         a, b = tmp_path / "serial.json", tmp_path / "parallel.json"
         serial.table.save(a)
         parallel.table.save(b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_capped_build_table_byte_identical(self, tmp_path, monkeypatch):
+        serial = self._tuner().build_table(**self.GRID)
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 1)
+        capped = self._tuner().build_table(**self.GRID, jobs=4)
+        assert capped.sweep_stats.jobs == 4
+        assert capped.samples == serial.samples
+        a, b = tmp_path / "serial.json", tmp_path / "capped.json"
+        serial.table.save(a)
+        capped.table.save(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_warm_cache_recomputes_nothing_and_matches(self, tmp_path):
