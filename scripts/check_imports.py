@@ -25,7 +25,10 @@ by failing CI when an import edge violates it.  Checks, in order:
    ``MCRCommunicator`` — the historical cycle-papering idiom this
    refactor deleted.  (Module-level imports outside ``ext/`` and
    ``frameworks/`` — e.g. the bench harness constructing concrete
-   communicators — stay legal.)
+   communicators — stay legal.)  Nowhere in the tree is there a
+   function-local import of ``repro.obs.metrics``: the event schema
+   imports only the stdlib, so every producer imports it at module
+   level.
 
 Usage::
 
@@ -47,6 +50,8 @@ from pathlib import Path
 
 CONCRETE_MODULE = "repro.core.comm"
 CONCRETE_NAME = "MCRCommunicator"
+#: the stdlib-only event schema: never imported function-locally (rule 4)
+SCHEMA_MODULE = "repro.obs.metrics"
 
 #: module -> layers it must NOT import (rule 2).  ``core/comm`` sits on
 #: top and may import everything below it, so it has no entry.
@@ -264,6 +269,11 @@ def check(src_root: "Path | str") -> list[str]:
                 violations.append(
                     f"{module}:{lineno}: {kind} import of {CONCRETE_MODULE} — "
                     f"use repro.core.protocols.CommCore (top-level) instead"
+                )
+            elif target == SCHEMA_MODULE and kind == "function-local":
+                violations.append(
+                    f"{module}:{lineno}: function-local import of {SCHEMA_MODULE} — "
+                    f"import it at module level (it imports only the stdlib)"
                 )
 
         # 3b. naming the concrete class at all, in any scope

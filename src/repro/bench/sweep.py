@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
+from repro.obs.metrics import ObsEvent
+
 #: bump when the engine or any measured-path semantics change in a way
 #: that silently alters cached values (part of every cache key)
 SWEEP_SCHEMA_VERSION = 1
@@ -236,8 +238,6 @@ def _observe_cache_counts(metrics, hits: int, misses: int) -> None:
     """Report cache effectiveness as ``kind="tuning"`` obs events."""
     if metrics is None:
         return
-    from repro.obs.metrics import ObsEvent
-
     for detail, count in (("hit", hits), ("miss", misses)):
         metrics.observe(
             ObsEvent(

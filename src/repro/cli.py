@@ -207,9 +207,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.metrics:
         from repro.obs import save_metrics
 
-        save_metrics(
-            args.metrics, result.metrics, args.world, comm_logger=result.comm_log
-        )
+        save_metrics(args.metrics, result.metrics, args.world)
         print(f"metrics -> {args.metrics}", file=sys.stderr)
     # stdout stays pure JSON (scriptable; file notices go to stderr)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -29,6 +29,7 @@ from repro.backends.ops import OpFamily
 from repro.core.config import CompressionConfig
 from repro.core.exceptions import BackendError
 from repro.core.tuning import TuningTable
+from repro.obs.metrics import ObsEvent
 
 
 @dataclass(slots=True)
@@ -613,8 +614,6 @@ class DispatchLayer:
         obs = self._obs
         if obs is None:
             return
-        from repro.obs.metrics import ObsEvent
-
         now = self.ctx.now
         for detail, count in (
             ("hit", self._plan_hits),

@@ -670,4 +670,4 @@ class ExecutionLayer:
         if flag.is_set:
             emit()
         else:
-            logger.defer(flag, emit)
+            flag.callbacks.append(emit)

@@ -3,86 +3,62 @@
 Every MCR-DL operation is recorded with its family, backend, wire size,
 and completion interval.  The paper uses exactly this extension to
 generate the communication breakdowns of Figure 1 and Figure 12.
+
+The log stores nothing of its own: it appends ``kind="comm"`` and
+``kind="fault"`` :class:`~repro.obs.metrics.ObsEvent` entries to the
+job's event store and reads them back (see
+:class:`~repro.obs.metrics.EventView`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import Counter, defaultdict
+from typing import TYPE_CHECKING, Optional
+
+from repro.obs.metrics import EventView, MetricsRegistry, ObsEvent
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Flag
     from repro.sim.process import RankContext
 
 
-@dataclass(slots=True)
-class CommRecord:
-    """One completed communication operation on one rank.
+class CommLogger(EventView):
+    """Job-wide communication log (shared across all ranks).
 
-    A plain slotted dataclass: one record is appended per operation, and
-    the frozen variant's ``object.__setattr__``-per-field construction
-    cost was measurable at that rate.
+    ``records`` are the job's ``kind="comm"`` events; ``events`` are its
+    retry/failover/quarantine ``kind="fault"`` events (the injector's
+    ``injected.*`` events belong to the registry, not to this log).
     """
 
-    rank: int
-    family: str
-    backend: str
-    nbytes: int
-    start: float
-    end: float
-    async_op: bool
-    #: training step the op was *posted* in (-1 = outside any step)
-    step: int = -1
-    #: dispatch decision: "explicit" | "auto" | "reroute"
-    dispatch: str = "explicit"
-    #: stream the op ran on ("" when unknown)
-    stream: str = ""
-    #: hierarchical decomposition phase: "intra" | "inter" | "" (flat)
-    phase: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(slots=True)
-class FaultEvent:
-    """One fault-handling action (retry, failover, quarantine) on one
-    rank — the degraded-mode audit trail of the fault injector."""
-
-    kind: str
-    rank: int
-    backend: str
-    time_us: float
-    detail: str = ""
-
-
-class CommLogger:
-    """Job-wide communication log (shared across all ranks)."""
-
-    def __init__(self, world_size: Optional[int] = None) -> None:
-        self.records: list[CommRecord] = []
-        #: retry/failover/quarantine trail (fault injection)
-        self.events: list[FaultEvent] = []
+    def __init__(
+        self,
+        world_size: Optional[int] = None,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
+        super().__init__(registry)
         #: job world size; per-job averages divide by it, not by however
         #: many ranks happened to appear in the filtered records
         self.world_size = world_size
-        #: optional :class:`repro.obs.MetricsRegistry`: every comm record
-        #: and fault event is mirrored into the unified schema.  Bound in
-        #: :meth:`shared` from the job's shared state; None keeps log()
-        #: at one attribute check of extra cost.
-        self.observer = None
 
     @classmethod
     def shared(cls, ctx: "RankContext") -> "CommLogger":
         """The per-job logger instance, created on first use."""
-        logger = ctx.shared.setdefault("comm_logger", cls(ctx.world_size))
-        if logger.world_size is None:
-            logger.world_size = ctx.world_size
-        if logger.observer is None:
-            logger.observer = ctx.shared.get("obs")
+        logger = ctx.shared.get("comm_logger")
+        if logger is None:
+            logger = ctx.shared["comm_logger"] = cls(
+                ctx.world_size, ctx.shared.get("obs")
+            )
         return logger
+
+    @property
+    def records(self) -> list[ObsEvent]:
+        return [e for e in self._own() if e.kind == "comm"]
+
+    @property
+    def events(self) -> list[ObsEvent]:
+        return [
+            e for e in self._own()
+            if e.kind == "fault" and not e.family.startswith("injected.")
+        ]
 
     def log(
         self,
@@ -98,64 +74,27 @@ class CommLogger:
         stream: str = "",
         phase: str = "",
     ) -> None:
-        self.records.append(
-            CommRecord(
-                rank, family, backend, nbytes, start, end, async_op,
-                step, dispatch, stream, phase,
+        self._events.append(
+            ObsEvent(
+                "comm", rank, stream, backend, family, nbytes, step,
+                start, end, dispatch, phase, async_op,
             )
         )
-        if self.observer is not None:
-            from repro.obs.metrics import ObsEvent
-
-            self.observer.observe(
-                ObsEvent(
-                    kind="comm",
-                    rank=rank,
-                    stream=stream,
-                    backend=backend,
-                    family=family,
-                    nbytes=nbytes,
-                    step=step,
-                    start=start,
-                    end=end,
-                    detail=dispatch,
-                    phase=phase,
-                )
-            )
-
-    def defer(self, flag: "Flag", emit: Callable[[], None]) -> None:
-        """Emit a record when ``flag`` fires (completion time unknown yet)."""
-        flag.callbacks.append(emit)
 
     # -- fault events (retry / failover / quarantine) -----------------------
 
     def log_event(
         self, kind: str, rank: int, backend: str, time_us: float, detail: str = ""
     ) -> None:
-        self.events.append(FaultEvent(kind, rank, backend, time_us, detail))
-        if self.observer is not None:
-            from repro.obs.metrics import ObsEvent
-
-            self.observer.observe(
-                ObsEvent(
-                    kind="fault",
-                    rank=rank,
-                    stream="",
-                    backend=backend,
-                    family=kind,
-                    nbytes=0,
-                    step=self.observer.current_step(rank),
-                    start=time_us,
-                    end=time_us,
-                    detail=detail,
-                )
+        self._events.append(
+            ObsEvent(
+                "fault", rank, "", backend, kind, 0, self._step(rank),
+                time_us, time_us, detail,
             )
+        )
 
     def event_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = defaultdict(int)
-        for e in self.events:
-            counts[e.kind] += 1
-        return dict(counts)
+        return dict(Counter(e.family for e in self.events))
 
     # -- aggregation (Figures 1 & 12) ---------------------------------------
 
@@ -169,39 +108,29 @@ class CommLogger:
             return self.world_size
         return len(observed)
 
-    def total_time_by_family(self, rank: Optional[int] = None) -> dict[str, float]:
-        """Summed durations per op family (one rank, or per-rank average
-        over the whole job)."""
-        sums: dict[str, float] = defaultdict(float)
-        counts_ranks = set()
-        for r in self.records:
-            if rank is not None and r.rank != rank:
-                continue
-            sums[r.family] += r.duration
-            counts_ranks.add(r.rank)
-        if rank is None and counts_ranks:
-            divisor = self._per_rank_divisor(counts_ranks)
-            return {k: v / divisor for k, v in sums.items()}
-        return dict(sums)
-
-    def total_time_by_backend(self, rank: Optional[int] = None) -> dict[str, float]:
+    def _total_time_by(self, attr: str, rank: Optional[int]) -> dict[str, float]:
         sums: dict[str, float] = defaultdict(float)
         ranks = set()
         for r in self.records:
             if rank is not None and r.rank != rank:
                 continue
-            sums[r.backend] += r.duration
+            sums[getattr(r, attr)] += r.duration
             ranks.add(r.rank)
         if rank is None and ranks:
             divisor = self._per_rank_divisor(ranks)
             return {k: v / divisor for k, v in sums.items()}
         return dict(sums)
 
+    def total_time_by_family(self, rank: Optional[int] = None) -> dict[str, float]:
+        """Summed durations per op family (one rank, or per-rank average
+        over the whole job)."""
+        return self._total_time_by("family", rank)
+
+    def total_time_by_backend(self, rank: Optional[int] = None) -> dict[str, float]:
+        return self._total_time_by("backend", rank)
+
     def op_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = defaultdict(int)
-        for r in self.records:
-            counts[r.family] += 1
-        return dict(counts)
+        return dict(Counter(r.family for r in self.records))
 
     def bytes_by_family(self) -> dict[str, int]:
         sums: dict[str, int] = defaultdict(int)
@@ -210,9 +139,10 @@ class CommLogger:
         return dict(sums)
 
     def clear(self) -> None:
-        self.records.clear()
-        self.events.clear()
-        if self.observer is not None:
-            # keep the registry's comm totals reconciled with this log
-            # (the trainer clears both at the warmup/measure boundary)
-            self.observer.clear_comm()
+        """Drop this job's comm and fault events (the trainer calls this
+        at the warmup/measure boundary).  Filters the shared list in
+        place: the job's Tracer reads the same list."""
+        kept = [e for e in self._own() if e.kind not in ("comm", "fault")]
+        self._events[self._base:self._stop] = kept
+        if self._stop is not None:
+            self._stop = self._base + len(kept)

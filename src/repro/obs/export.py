@@ -1,16 +1,12 @@
-"""Exporters for the unified observability pipeline.
-
-Three output surfaces (ISSUE 4 tentpole, part 3):
+"""Exporters for the unified observability store.
 
 * **Chrome/Perfetto trace** — the Tracer's per-stream intervals plus, when
   a :class:`~repro.obs.metrics.MetricsRegistry` is supplied, training-step
   markers (one dedicated "steps" thread per rank) and cumulative
-  per-family byte counter tracks (``"C"`` events).  The output stays the
-  plain JSON array the existing ``Tracer.save_chrome_trace`` emitted, so
-  anything that loaded old traces still loads new ones.
+  per-family byte counter tracks (``"C"`` events), as one plain JSON
+  array of trace events.
 * **metrics JSON** — the registry snapshot plus per-family and per-step
-  communication totals, with an optional reconciliation block computed
-  from the :class:`~repro.ext.logging_ext.CommLogger` on the same run.
+  communication totals.
 * **loaders/breakdowns** — the reverse direction for the ``repro trace``
   subcommand: load a saved trace (array or ``{"traceEvents": ...}``
   envelope) back into records and aggregate per-rank / per-category /
@@ -24,7 +20,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.metrics import MetricsRegistry, UNATTRIBUTED_STEP
+from repro.obs.metrics import MetricsRegistry, UNATTRIBUTED_STEP, union_us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import Tracer
@@ -100,16 +96,52 @@ def counter_track_events(registry: MetricsRegistry) -> list[dict]:
     return events
 
 
+def interval_events(tracer: "Tracer") -> list[dict]:
+    """The tracer's intervals: one process per rank, one thread per
+    stream, complete ("X") events in microseconds."""
+    events: list[dict] = []
+    thread_ids: dict[tuple[int, str], int] = {}
+    per_rank: dict[int, int] = defaultdict(int)
+    for record in tracer.records:
+        key = (record.rank, record.stream)
+        tid = thread_ids.get(key)
+        if tid is None:
+            tid = thread_ids[key] = per_rank[record.rank]
+            per_rank[record.rank] += 1
+            events.append(
+                {
+                    "ph": "M",
+                    "name": "thread_name",
+                    "pid": record.rank,
+                    "tid": tid,
+                    "args": {"name": record.stream},
+                }
+            )
+        events.append(
+            {
+                "ph": "X",
+                "name": record.detail,
+                "cat": record.family,
+                "pid": record.rank,
+                "tid": tid,
+                "ts": record.start,
+                "dur": record.duration,
+            }
+        )
+    return events
+
+
 def chrome_trace_events(
     tracer: Optional["Tracer"], registry: Optional[MetricsRegistry] = None
 ) -> list[dict]:
-    """The full exported event list: tracer intervals + step markers +
-    counter tracks (the latter two only when a registry is given)."""
-    steps = step_marker_events(registry) if registry is not None else None
-    counters = counter_track_events(registry) if registry is not None else None
-    if tracer is not None:
-        return tracer.to_chrome_trace(steps=steps, counters=counters)
-    return (steps or []) + (counters or [])
+    """The full exported event list (load in chrome://tracing or
+    Perfetto): tracer intervals, then step markers and counter tracks
+    (the latter two only when a registry is given)."""
+    events = interval_events(tracer) if tracer is not None else []
+    if registry is not None:
+        events += step_marker_events(registry)
+        events += counter_track_events(registry)
+    return events
 
 
 def save_chrome_trace(
@@ -137,17 +169,10 @@ def load_chrome_trace(path) -> list[dict]:
 
 
 def metrics_to_json(
-    registry: MetricsRegistry,
-    world_size: Optional[int] = None,
-    comm_logger=None,
+    registry: MetricsRegistry, world_size: Optional[int] = None
 ) -> dict:
-    """The metrics-dump payload for ``repro train --metrics``.
-
-    When the run's :class:`CommLogger` is supplied, a ``comm_log`` block
-    with its independently-accumulated totals is included so consumers
-    (and the acceptance test) can reconcile the two pipelines.
-    """
-    payload = {
+    """The metrics-dump payload for ``repro train --metrics``."""
+    return {
         "schema": "repro.obs.metrics/v1",
         "world_size": world_size,
         "metrics": registry.snapshot(),
@@ -161,51 +186,19 @@ def metrics_to_json(
             for m in registry.steps
         ],
     }
-    if comm_logger is not None:
-        payload["comm_log"] = {
-            "op_counts": comm_logger.op_counts(),
-            "bytes_by_family": comm_logger.bytes_by_family(),
-            "total_time_by_family_per_rank": comm_logger.total_time_by_family(),
-            "total_time_by_backend_per_rank": comm_logger.total_time_by_backend(),
-            "event_counts": comm_logger.event_counts(),
-        }
-    return payload
 
 
 def save_metrics(
-    path,
-    registry: MetricsRegistry,
-    world_size: Optional[int] = None,
-    comm_logger=None,
+    path, registry: MetricsRegistry, world_size: Optional[int] = None
 ) -> None:
     Path(path).write_text(
-        json.dumps(
-            metrics_to_json(registry, world_size, comm_logger),
-            indent=2,
-            sort_keys=True,
-        )
+        json.dumps(metrics_to_json(registry, world_size), indent=2, sort_keys=True)
     )
 
 
 # ----------------------------------------------------------------------
 # trace breakdowns (the `repro trace` subcommand)
 # ----------------------------------------------------------------------
-
-
-def _union_us(spans: list[tuple[float, float]]) -> float:
-    spans.sort()
-    total, cur_end = 0.0, None
-    cur_start = 0.0
-    for start, end in spans:
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    if cur_end is not None:
-        total += cur_end - cur_start
-    return total
 
 
 def trace_breakdown(events: list[dict]) -> dict:
@@ -218,7 +211,7 @@ def trace_breakdown(events: list[dict]) -> dict:
           "categories": {category: {"events": n, "sum_us": s, "busy_us": u}},
           "per_rank": {rank: {category: sum_us}},
           "steps": [{"rank", "step", "start", "dur"}...],
-          "per_step": {step: {"dur_us": max window, "comm_us": ..}},
+          "per_step": {step: {"dur_us": max window over ranks, "ranks": n}},
           "span_us": trace end - trace start,
         }
     """
@@ -253,7 +246,7 @@ def trace_breakdown(events: list[dict]) -> dict:
         cat_spans[cat].append((ts, ts + dur))
         per_rank[pid][cat] += dur
     for cat, cell in categories.items():
-        cell["busy_us"] = _union_us(cat_spans[cat])
+        cell["busy_us"] = union_us(cat_spans[cat])
 
     per_step: dict[int, dict] = {}
     for marker in steps:

@@ -1,14 +1,14 @@
-"""The unified observability event schema and metrics registry.
+"""The unified observability event schema and its single store.
 
 The paper's communication-logging extension (§V-E) and its
 compute-vs-communication breakdowns (Figures 1 and 12) presuppose one
-coherent view of what every rank, stream, and backend did.  Before this
-module the reproduction had three disjoint recorders — the
-:class:`~repro.sim.trace.Tracer`, the
-:class:`~repro.ext.logging_ext.CommLogger`, and the fault-event trail —
-with no shared schema and no per-step attribution.  Everything now
-funnels through one :class:`ObsEvent` shape into one
-:class:`MetricsRegistry` per job.
+coherent view of what every rank, stream, and backend did.  Every
+producer records one :class:`ObsEvent` into one list: the
+:class:`MetricsRegistry`'s ``events`` when the job has a registry.  The
+:class:`~repro.ext.logging_ext.CommLogger` and the
+:class:`~repro.sim.trace.Tracer` are :class:`EventView` read views over
+that list, and the registry's counters and histograms are derived from
+it on read.
 
 Design constraints (enforced by ``scripts/perfgate.py``):
 
@@ -25,9 +25,9 @@ Design constraints (enforced by ``scripts/perfgate.py``):
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 #: ``step`` value for events recorded outside any marked training step
 UNATTRIBUTED_STEP = -1
@@ -47,8 +47,12 @@ class ObsEvent:
       ``detail`` = dispatch decision: ``explicit``/``auto``/``reroute``);
     * ``"trace"``  — one kernel/comm interval from the tracer
       (family = tracer category, ``detail`` = label);
-    * ``"fault"``  — one fault-handling action (family = kind:
-      retry/failover/quarantine/injected);
+    * ``"fault"``  — one fault-handling action at ``start`` (family =
+      retry/failover/quarantine, or ``injected.<kind>`` from the
+      injector);
+    * ``"plan"``   — dispatch-plan-cache outcome counts of one
+      communicator (``detail`` = hit/miss/invalidate, count in
+      ``nbytes``);
     * ``"fusion"`` — one fusion-buffer flush (family = trigger:
       full/timeout/boundary);
     * ``"tuning"`` — one tuning-suite sample (start..end = latency);
@@ -69,10 +73,27 @@ class ObsEvent:
     #: hierarchical decomposition phase for ``kind="comm"`` events:
     #: ``"intra"`` / ``"inter"`` / ``""`` (flat dispatch)
     phase: str = ""
+    #: ``kind="comm"`` only: the op was posted non-blocking
+    async_op: bool = False
 
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+def union_us(spans: Iterable[tuple[float, float]]) -> float:
+    """Total length of the union of ``(start, end)`` intervals."""
+    total, cur_start, cur_end = 0.0, 0.0, None
+    for start, end in sorted(spans):
+        if cur_end is None or start > cur_end:
+            if cur_end is not None:
+                total += cur_end - cur_start
+            cur_start, cur_end = start, end
+        elif end > cur_end:
+            cur_end = end
+    if cur_end is not None:
+        total += cur_end - cur_start
+    return total
 
 
 @dataclass(slots=True)
@@ -153,9 +174,37 @@ class LogHistogram:
         }
 
 
+class EventView:
+    """Read access to one job's slice of a shared event list.
+
+    The slice starts where the list ended when the view was built, and
+    after :meth:`close` (called by the Simulator at job end) it stops
+    where the list ended then — so the views of several runs that share
+    one registry each see only their own run.  Without a registry the
+    view owns a private list.
+    """
+
+    def __init__(self, registry: Optional["MetricsRegistry"] = None) -> None:
+        self._registry = registry
+        self._events: list[ObsEvent] = [] if registry is None else registry.events
+        self._base = len(self._events)
+        self._stop: Optional[int] = None
+
+    def close(self) -> None:
+        self._stop = len(self._events)
+
+    def _own(self) -> list[ObsEvent]:
+        return self._events[self._base:self._stop]
+
+    def _step(self, rank: int) -> int:
+        registry = self._registry
+        return UNATTRIBUTED_STEP if registry is None else registry.current_step(rank)
+
+
 class MetricsRegistry:
-    """Job-wide metrics: counters, gauges, log-bucketed histograms, the
-    raw event stream, and per-rank training-step attribution.
+    """Job-wide observability: the event store, gauges, and per-rank
+    training-step attribution.  Counters and histograms are derived
+    from ``events`` on every read.
 
     One registry is shared by every rank of a simulated job (installed
     into the shared state dict under the ``"obs"`` key by
@@ -164,31 +213,16 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self.counters: dict[str, float] = defaultdict(float)
         self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, LogHistogram] = {}
-        #: the raw unified event stream (``"trace"`` events update
-        #: counters but are not retained here — the Tracer already holds
-        #: every interval, and duplicating them would double memory)
+        #: the single event store; every producer appends here
         self.events: list[ObsEvent] = []
         #: completed (and in-flight) training-step windows
         self.steps: list[StepMarker] = []
         self._current_step: dict[int, int] = {}
         self._open_steps: dict[int, StepMarker] = {}
 
-    # -- primitive metrics ------------------------------------------------
-
-    def inc(self, name: str, by: float = 1.0) -> None:
-        self.counters[name] += by
-
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
-
-    def histogram(self, name: str) -> LogHistogram:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = LogHistogram()
-        return hist
 
     # -- step attribution -------------------------------------------------
 
@@ -214,66 +248,64 @@ class MetricsRegistry:
     def current_step(self, rank: int) -> int:
         return self._current_step.get(rank, UNATTRIBUTED_STEP)
 
-    # -- the unified feed -------------------------------------------------
+    # -- the store --------------------------------------------------------
 
     def observe(self, event: ObsEvent) -> None:
-        """Ingest one event: append it and update derived metrics."""
-        kind = event.kind
-        if kind == "trace":
-            # counters only; the Tracer retains the raw intervals.  The
-            # sum double-counts overlapping intervals by design (it is a
-            # work total, not a union busy time).
-            self.inc(f"trace.sum_us.{event.family}", event.duration)
-            return
         self.events.append(event)
-        if kind == "comm":
-            fam = event.family
-            dur = event.duration
-            self.inc(f"comm.ops.{fam}")
-            self.inc(f"comm.bytes.{fam}", event.nbytes)
-            self.inc(f"comm.time_us.{fam}", dur)
-            self.inc(f"comm.time_us.backend.{event.backend}", dur)
-            self.inc(f"comm.dispatch.{event.detail or 'explicit'}")
-            if event.phase:
-                self.inc(f"comm.time_us.phase.{event.phase}", dur)
-            self.histogram(f"comm.latency_us.{fam}").record(dur)
-            self.histogram(f"comm.nbytes.{fam}").record(event.nbytes)
-        elif kind == "plan":
-            # dispatch-plan-cache effectiveness: one aggregated event per
-            # communicator and outcome at finalize, count in ``nbytes``
-            self.inc(f"comm.plan.{event.detail}", event.nbytes)
-        elif kind == "fault":
-            self.inc(f"fault.{event.family}")
-        elif kind == "adapt":
-            # adaptive-dispatch lifecycle: family is the action
-            # (drift/explore/retune/probation), detail carries the
-            # backend transition or probe verdict
-            self.inc(f"tuning.adapt.{event.family}")
-        elif kind == "fusion":
-            self.inc(f"fusion.{event.family}")
-            self.inc("fusion.bytes", event.nbytes)
-        elif kind == "tuning":
-            if event.family == "sweep_cache":
-                # sweep-engine cache effectiveness: one aggregated event
-                # per run and outcome, count carried in ``nbytes``
-                self.inc(f"tuning.cache.{event.detail}", event.nbytes)
-                return
-            self.inc("tuning.samples")
-            self.histogram(f"tuning.latency_us.{event.family}").record(
-                event.duration
-            )
 
-    def clear_comm(self) -> None:
-        """Drop comm and fault events plus their derived metrics.
+    def _derive(self) -> tuple[dict[str, float], dict[str, LogHistogram]]:
+        """Counters and histograms over every stored event, in order."""
+        counters: dict[str, float] = defaultdict(float)
+        histograms: dict[str, LogHistogram] = {}
 
-        Mirrors :meth:`repro.ext.logging_ext.CommLogger.clear` (called
-        at the warmup/measure boundary) so the registry's communication
-        totals keep reconciling with the comm log's.
-        """
-        self.events = [e for e in self.events if e.kind not in ("comm", "fault")]
-        for store in (self.counters, self.histograms):
-            for key in [k for k in store if k.startswith(("comm.", "fault."))]:
-                del store[key]
+        def hist(name: str) -> LogHistogram:
+            h = histograms.get(name)
+            if h is None:
+                h = histograms[name] = LogHistogram()
+            return h
+
+        for event in self.events:
+            kind = event.kind
+            if kind == "comm":
+                fam = event.family
+                dur = event.duration
+                counters[f"comm.ops.{fam}"] += 1
+                counters[f"comm.bytes.{fam}"] += event.nbytes
+                counters[f"comm.time_us.{fam}"] += dur
+                counters[f"comm.time_us.backend.{event.backend}"] += dur
+                counters[f"comm.dispatch.{event.detail or 'explicit'}"] += 1
+                if event.phase:
+                    counters[f"comm.time_us.phase.{event.phase}"] += dur
+                hist(f"comm.latency_us.{fam}").record(dur)
+                hist(f"comm.nbytes.{fam}").record(event.nbytes)
+            elif kind == "trace":
+                # a work total: overlapping intervals are summed, not merged
+                counters[f"trace.sum_us.{event.family}"] += event.duration
+            elif kind == "plan":
+                counters[f"comm.plan.{event.detail}"] += event.nbytes
+            elif kind == "fault":
+                counters[f"fault.{event.family}"] += 1
+            elif kind == "adapt":
+                counters[f"tuning.adapt.{event.family}"] += 1
+            elif kind == "fusion":
+                counters[f"fusion.{event.family}"] += 1
+                counters["fusion.bytes"] += event.nbytes
+            elif kind == "tuning":
+                if event.family == "sweep_cache":
+                    # one aggregated event per run and outcome, count in nbytes
+                    counters[f"tuning.cache.{event.detail}"] += event.nbytes
+                    continue
+                counters["tuning.samples"] += 1
+                hist(f"tuning.latency_us.{event.family}").record(event.duration)
+        return counters, histograms
+
+    @property
+    def counters(self) -> dict[str, float]:
+        return self._derive()[0]
+
+    @property
+    def histograms(self) -> dict[str, LogHistogram]:
+        return self._derive()[1]
 
     # -- aggregation ------------------------------------------------------
 
@@ -315,17 +347,13 @@ class MetricsRegistry:
         return out
 
     def fault_counts(self) -> dict[str, int]:
-        prefix = "fault."
-        return {
-            k[len(prefix):]: int(v)
-            for k, v in self.counters.items()
-            if k.startswith(prefix)
-        }
+        return dict(Counter(e.family for e in self.events if e.kind == "fault"))
 
     def snapshot(self) -> dict:
         """Plain-dict view of every derived metric (JSON-serializable)."""
+        counters, histograms = self._derive()
         return {
-            "counters": dict(self.counters),
+            "counters": dict(counters),
             "gauges": dict(self.gauges),
-            "histograms": {k: h.to_dict() for k, h in self.histograms.items()},
+            "histograms": {k: h.to_dict() for k, h in histograms.items()},
         }

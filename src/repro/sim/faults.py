@@ -40,6 +40,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from repro.obs.metrics import ObsEvent
+
 #: domain-separation constants for the seeded decision streams
 _BACKEND_STREAM = 0xFA01
 _STRAGGLER_STREAM = 0x57A6
@@ -388,8 +390,6 @@ class FaultInjector:
         """
         decision = self._decide(comm_id, backend, op_index, p2p)
         if decision is not None and self.observer is not None:
-            from repro.obs.metrics import ObsEvent
-
             self.observer.observe(
                 ObsEvent(
                     kind="fault",

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.process import RankContext
 from repro.sim.streams import GPU
@@ -70,8 +71,10 @@ class Simulator:
             creates a fresh :class:`repro.obs.MetricsRegistry`; a
             registry instance can also be passed directly (to accumulate
             across runs).  The registry is installed into the job's
-            shared state under ``"obs"`` where the comm logger, tracer,
-            fault injector, and fusion engine find it.  Observers never
+            shared state under ``"obs"``; its ``events`` list is the one
+            store the comm logger and tracer append to and read from,
+            and the fault injector, fusion engine and dispatch layer
+            record into it.  Observers never
             sleep or alter dispatch, so simulated timings are
             bit-identical with and without this flag (perfgate-enforced).
     """
@@ -101,8 +104,6 @@ class Simulator:
         self.max_events = max_events
         self.faults = faults
         if observe:
-            from repro.obs.metrics import MetricsRegistry
-
             self.observer = observe if isinstance(observe, MetricsRegistry) else MetricsRegistry()
         else:
             self.observer = None
@@ -125,12 +126,10 @@ class Simulator:
         or :class:`repro.sim.DeadlockError` if all ranks block forever.
         """
         engine = Engine(max_events=self.max_events)
-        tracer = Tracer() if self.trace else None
+        tracer = Tracer(self.observer) if self.trace else None
         shared: dict = {"stats": {}}
         if self.observer is not None:
             shared["obs"] = self.observer
-            if tracer is not None:
-                tracer.observer = self.observer
         injector = None
         if self.faults is not None and (
             self.faults.backend_faults or self.faults.link_faults
@@ -193,6 +192,9 @@ class Simulator:
                 self.system.link_degradation = prior
         else:
             elapsed = engine.run()
+        for view in (tracer, shared.get("comm_logger")):
+            if view is not None:
+                view.close()
         if self.observer is not None:
             for name, value in engine.stats().items():
                 self.observer.set_gauge(f"engine.{name}", value)

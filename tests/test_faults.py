@@ -278,7 +278,7 @@ class TestTransientFaults:
         counts = logger.event_counts()
         assert counts.get("retry", 0) > 0
         assert counts.get("quarantine", 0) == 0
-        retry = next(e for e in logger.events if e.kind == "retry")
+        retry = next(e for e in logger.events if e.family == "retry")
         assert retry.backend == "nccl"
         assert "attempt" in retry.detail
 
@@ -292,7 +292,7 @@ class TestTransientFaults:
     def test_same_seed_identical_event_trace(self):
         spec = transient(prob=0.5)
         trace = lambda res: [
-            (e.kind, e.rank, e.backend, e.time_us, e.detail)
+            (e.family, e.rank, e.backend, e.start, e.detail)
             for e in res.shared["comm_logger"].events
         ]
         a = trace(self.run(spec, n_ops=10))
@@ -329,7 +329,7 @@ class TestPermanentFailover:
         # every rank quarantines nccl once, then reroutes each later op
         assert counts["quarantine"] == world
         assert counts["failover"] >= world
-        q = next(e for e in logger.events if e.kind == "quarantine")
+        q = next(e for e in logger.events if e.family == "quarantine")
         assert q.backend == "nccl"
 
     def test_auto_dispatch_avoids_quarantined_backend(self):

@@ -146,7 +146,7 @@ class TestCrossBackendOverlap:
             comm.finalize()
 
         res = Simulator(2, trace=True).run(main)
-        comm_labels = {r.label for r in res.tracer.filter(rank=0, category="comm")}
+        comm_labels = {r.detail for r in res.tracer.filter(rank=0, category="comm")}
         assert any("msccl" in l for l in comm_labels)  # rerouted off NCCL
 
     def test_boundary_flush_reroutes_and_stays_symmetric(self):
@@ -168,7 +168,7 @@ class TestCrossBackendOverlap:
             return dict(fusion.stats)
 
         res = Simulator(2, trace=True).run(main)
-        comm_labels = {r.label for r in res.tracer.filter(rank=0, category="comm")}
+        comm_labels = {r.detail for r in res.tracer.filter(rank=0, category="comm")}
         assert any("msccl" in l for l in comm_labels)
         assert res.rank_results[0]["boundary_flushes"] == 1
 
@@ -214,7 +214,7 @@ class TestCrossBackendOverlap:
             comm.finalize()
 
         res = Simulator(2, trace=True).run(main)
-        comm_labels = {r.label for r in res.tracer.filter(rank=0, category="comm")}
+        comm_labels = {r.detail for r in res.tracer.filter(rank=0, category="comm")}
         assert not any("msccl" in l for l in comm_labels)
 
 

@@ -145,6 +145,21 @@ class TestInjectedViolations:
         violations = check(root)
         assert any("function-local import of repro.core.comm" in v for v in violations)
 
+    def test_function_local_schema_import_fails(self, tmp_path):
+        root = _copy_tree(tmp_path)
+        target = root / "repro" / "sim" / "engine.py"
+        target.write_text(
+            target.read_text()
+            + "\ndef _lazy():\n    from repro.obs.metrics import ObsEvent\n"
+            + "    return ObsEvent\n"
+        )
+        violations = check(root)
+        assert any(
+            "repro.sim.engine" in v
+            and "function-local import of repro.obs.metrics" in v
+            for v in violations
+        ), violations
+
     def test_cli_fails_on_dirty_tree(self, tmp_path):
         root = _copy_tree(tmp_path)
         target = root / "repro" / "core" / "op_table.py"

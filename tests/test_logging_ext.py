@@ -139,3 +139,28 @@ class TestPerRankAverages:
         logger.log(0, "p2p", "nccl", 64, 0.0, 10.0, False)
         logger.log(1, "p2p", "nccl", 64, 0.0, 10.0, False)
         assert logger.total_time_by_family()["p2p"] == pytest.approx(10.0)
+
+
+class TestSingleStore:
+    def test_each_op_is_stored_once(self):
+        """With trace, metrics and comm logging all on, one all_reduce is
+        one event per rank in the registry; the logger and tracer are
+        views over those same objects."""
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl"], config=MCRConfig(enable_logging=True))
+            comm.all_reduce("nccl", ctx.zeros(64))
+            comm.finalize()
+
+        res = Simulator(2, trace=True, observe=True).run(main)
+        events = res.metrics.events
+        logger = res.shared["comm_logger"]
+        comm_events = [e for e in events if e.kind == "comm"]
+        assert sorted(e.rank for e in comm_events) == [0, 1]
+        assert {e.family for e in comm_events} == {"allreduce"}
+        assert any(logger.records[0] is e for e in events)
+        assert len(logger.records) == len(comm_events)
+        assert all(a is b for a, b in zip(logger.records, comm_events))
+        traced = [e for e in events if e.kind == "trace"]
+        assert traced and len(res.tracer.records) == len(traced)
+        assert all(a is b for a, b in zip(res.tracer.records, traced))

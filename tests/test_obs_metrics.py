@@ -74,3 +74,47 @@ class TestAdaptEventAccounting:
         assert reg.counters["tuning.adapt.drift"] == 1
         assert reg.counters["tuning.adapt.retune"] == 2
         assert reg.counters["tuning.adapt.probation"] == 1
+
+
+class TestSharedRegistryAcrossRuns:
+    def run_twice(self):
+        from repro.cluster import lassen
+        from repro.models import BackendPlan, DSMoEModel, Trainer
+
+        reg = MetricsRegistry()
+        results = []
+        for _ in range(2):
+            results.append(
+                Trainer(lassen(), steps=1, warmup=1, trace=True, metrics=reg).run(
+                    DSMoEModel(), 8, BackendPlan.mixed(label="MCR-DL")
+                )
+            )
+        return reg, results
+
+    def test_plan_counters_match_plan_events(self):
+        """Two training runs on one registry: every ``comm.plan.*``
+        counter equals the summed counts of its ``kind="plan"`` events.
+        Run 2's warm-up reset used to drop run 1's plan counters while
+        keeping run 1's plan events."""
+        reg, _ = self.run_twice()
+        plan_sums: dict = {}
+        for e in reg.events:
+            if e.kind == "plan":
+                key = f"comm.plan.{e.detail}"
+                plan_sums[key] = plan_sums.get(key, 0) + e.nbytes
+        assert plan_sums
+        counters = {k: v for k, v in reg.counters.items() if k.startswith("comm.plan.")}
+        assert counters == plan_sums
+
+    def test_each_run_views_only_its_own_events(self):
+        reg, (first, second) = self.run_twice()
+        assert first.busy_by_category == second.busy_by_category
+        assert first.comm_by_family == second.comm_by_family
+        for kind, views in (
+            ("trace", (first.tracer, second.tracer)),
+            ("comm", (first.comm_log, second.comm_log)),
+        ):
+            a, b = (v.records for v in views)
+            assert a and len(a) == len(b)
+            assert not {id(e) for e in a} & {id(e) for e in b}
+            assert len(a) + len(b) == sum(e.kind == kind for e in reg.events)

@@ -10,7 +10,7 @@ from repro.backends.ops import ReduceOp
 from repro.core.tuning import TuningTable, message_bucket
 from repro.ext.compression import BLOCK_ELEMS, FixedRateCodec
 from repro.sim.graph import apply_wire_lane
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import Tracer
 
 finite_f32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, width=32
@@ -234,10 +234,10 @@ class TestTracerProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_busy_time_bounds(self, spans):
-        recs = [
-            TraceRecord(0, "s", "x", "c", start, start + dur) for start, dur in spans
-        ]
         tracer = Tracer()
+        for start, dur in spans:
+            tracer.record(0, "s", "x", "c", start, start + dur)
+        recs = tracer.records
         busy = tracer.busy_time(recs)
         total = sum(r.duration for r in recs)
         assert 0 <= busy <= total + 1e-9

@@ -150,22 +150,21 @@ class TestTrace:
         assert recs[0].duration == 100
 
     def test_busy_time_merges_overlaps(self):
-        from repro.sim.trace import TraceRecord, Tracer
+        from repro.sim.trace import Tracer
 
         t = Tracer()
-        recs = [
-            TraceRecord(0, "s", "a", "c", 0, 10),
-            TraceRecord(0, "s", "b", "c", 5, 15),
-            TraceRecord(0, "s", "c", "c", 20, 30),
-        ]
-        assert t.busy_time(recs) == 25
+        t.record(0, "s", "a", "c", 0, 10)
+        t.record(0, "s", "b", "c", 5, 15)
+        t.record(0, "s", "c", "c", 20, 30)
+        assert t.busy_time(t.records) == 25
 
     def test_overlap_time(self):
-        from repro.sim.trace import TraceRecord, Tracer
+        from repro.sim.trace import Tracer
 
         t = Tracer()
-        a = [TraceRecord(0, "s", "a", "c", 0, 10)]
-        b = [TraceRecord(0, "s", "b", "c", 5, 20)]
+        t.record(0, "s", "a", "c", 0, 10)
+        t.record(0, "s", "b", "c", 5, 20)
+        a, b = t.filter(label_contains="a"), t.filter(label_contains="b")
         assert t.overlap_time(a, b) == 5
 
     def test_category_totals(self):

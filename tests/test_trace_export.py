@@ -1,10 +1,11 @@
-"""Chrome trace export from the tracer."""
+"""Chrome trace export of the tracer's intervals."""
 
 import json
 
 import pytest
 
 from repro.core import MCRCommunicator
+from repro.obs import chrome_trace_events, save_chrome_trace
 from repro.sim import Simulator
 
 
@@ -22,26 +23,26 @@ def traced_result():
 
 class TestChromeTrace:
     def test_complete_events_for_every_record(self, traced_result):
-        events = traced_result.tracer.to_chrome_trace()
+        events = chrome_trace_events(traced_result.tracer)
         xs = [e for e in events if e["ph"] == "X"]
         assert len(xs) == len(traced_result.tracer.records)
 
     def test_event_fields(self, traced_result):
-        events = traced_result.tracer.to_chrome_trace()
+        events = chrome_trace_events(traced_result.tracer)
         compute = next(e for e in events if e["ph"] == "X" and e["name"] == "compute-k")
         assert compute["dur"] == 100.0
         assert compute["cat"] == "compute"
         assert compute["pid"] in (0, 1)
 
     def test_thread_metadata_per_stream(self, traced_result):
-        events = traced_result.tracer.to_chrome_trace()
+        events = chrome_trace_events(traced_result.tracer)
         metas = [e for e in events if e["ph"] == "M"]
         names = {(m["pid"], m["args"]["name"]) for m in metas}
         assert (0, "default") in names
         assert any(stream.startswith("nccl:comm") for _, stream in names)
 
     def test_thread_ids_stable_within_rank(self, traced_result):
-        events = traced_result.tracer.to_chrome_trace()
+        events = chrome_trace_events(traced_result.tracer)
         seen: dict[tuple, set] = {}
         for e in events:
             if e["ph"] != "X":
@@ -57,11 +58,11 @@ class TestChromeTrace:
 
     def test_save_writes_valid_json(self, traced_result, tmp_path):
         path = tmp_path / "trace.json"
-        traced_result.tracer.save_chrome_trace(path)
+        save_chrome_trace(path, traced_result.tracer)
         payload = json.loads(path.read_text())
         assert isinstance(payload, list) and payload
 
     def test_empty_tracer_exports_empty_list(self):
         from repro.sim.trace import Tracer
 
-        assert Tracer().to_chrome_trace() == []
+        assert chrome_trace_events(Tracer()) == []

@@ -293,7 +293,7 @@ class TestAutoDispatch:
             comm.finalize()
 
         res = Simulator(4, trace=True).run(main)
-        labels = {r.label for r in res.tracer.filter(rank=0, category="comm")}
+        labels = {r.detail for r in res.tracer.filter(rank=0, category="comm")}
         chosen_small = table.lookup("allreduce", 4, 256)
         chosen_large = table.lookup("allreduce", 4, 1 << 20)
         assert chosen_small != chosen_large  # the table is actually mixed
