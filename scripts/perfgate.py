@@ -140,7 +140,7 @@ def main(argv=None) -> int:
             verdict = "SIM-DIFFERS"
             failures.append(f"{name}: simulated fingerprint changed")
         elif name == TUNE_SCENARIO:
-            # composite wall (serial + spawn pool + warm) with huge pool
+            # composite wall (serial + parallel + warm) with huge start-up
             # variance on small hosts; gated by its own criteria below
             verdict = "ok (sweep-gated, wall exempt)"
         elif base["wall_s"] < args.min_wall_s:

@@ -174,7 +174,7 @@ def framework_overhead_pct(
 
 def _omb_cell(context: tuple, unit: tuple) -> float:
     """Sweep-engine worker: one (backend, message size) OMB cell.
-    Top-level so the spawn pool can pickle it by reference."""
+    Top-level so spawned helpers can unpickle it by reference."""
     system, family_value, world_size, nonblocking = context
     backend, msg = unit
     return omb_latency_us(

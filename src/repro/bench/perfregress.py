@@ -293,7 +293,7 @@ def tuner_sweep() -> dict:
 def tune_sweep() -> dict:
     """The sweep engine on a simulated-mode tuning sweep (paper C5).
 
-    Runs the same sweep three ways — serial cold, 4-worker-pool cold,
+    Runs the same sweep three ways — serial cold, ``jobs=4`` cold,
     and warm from the on-disk sweep cache — and reports the wall-clock
     of each plus the derived speedups.  The simulated fingerprint pins
     the table picks and the byte-identity of all three runs: the engine
@@ -568,7 +568,7 @@ def obs_overhead() -> dict:
 
 def _scenario_unit(repeats: int, name: str) -> dict:
     """Sweep-engine worker: one scenario, measured in its own process.
-    Top-level so the spawn pool can pickle it by reference."""
+    Top-level so spawned helpers can unpickle it by reference."""
     return run_scenarios([name], repeats=repeats)[name]
 
 
@@ -586,10 +586,10 @@ def run_scenarios(
     are asserted identical across repeats (the engine is deterministic;
     a mismatch means a real bug, so it raises immediately).
 
-    ``jobs > 1`` fans scenarios out over the sweep engine's spawn pool,
-    one scenario per work unit, merged back in request order.  Parallel
-    scenarios contend for the machine, so wall numbers are for quick
-    smoke runs, not for committing as a baseline.
+    ``jobs > 1`` shares scenarios between this process and the sweep
+    engine's spawned helpers, one scenario per work unit, merged back in
+    request order.  Parallel scenarios contend for the machine, so wall
+    numbers are for quick smoke runs, not for committing as a baseline.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")

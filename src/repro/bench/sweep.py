@@ -10,10 +10,11 @@ scheduled.  This module factors that shape out once:
 
 * :func:`run_sweep` executes a list of work units either serially
   (``jobs=1``, the default — determinism tests and perfgate baselines
-  never see a pool) or fanned out over a ``multiprocessing`` **spawn**
-  pool.  Results are merged by unit index, so the output list is
-  identical to the serial one regardless of completion order or which
-  worker ran which cell.
+  never see a subprocess) or shared between the caller and
+  ``multiprocessing`` **spawn** helper processes, all claiming cells from
+  one shared counter.  Results are merged by unit index, so the output
+  list is identical to the serial one regardless of completion order or
+  which process ran which cell.
 * :class:`SweepCache` is a content-addressed on-disk cache: one JSON
   file per cell, named by the SHA-256 of the cell's full key.  A key
   hashes *everything the measurement depends on* — the system spec, the
@@ -25,9 +26,9 @@ scheduled.  This module factors that shape out once:
   :class:`~repro.obs.metrics.MetricsRegistry` as ``kind="tuning"``
   events (``family="sweep_cache"``).
 
-Workers and contexts must be **top-level picklables**: the spawn pool
-re-imports modules in each child, ships the context once per worker via
-the pool initializer, and ships each unit with its serial index.
+Workers and contexts must be **top-level picklables**: each spawned
+helper re-imports their modules and receives the context and the pending
+units once, when it starts.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -219,19 +221,73 @@ class SweepOutcome:
     stats: SweepStats
 
 
-# per-worker state installed by the pool initializer (spawn children
-# re-import this module, so the dict starts empty in every worker)
-_WORKER_STATE: dict[str, Any] = {}
+def _claim(counter) -> int:
+    """The next position in the shared work list (may be past its end)."""
+    with counter.get_lock():
+        position = counter.value
+        counter.value = position + 1
+    return position
 
 
-def _pool_init(worker: Callable, context: Any) -> None:
-    _WORKER_STATE["worker"] = worker
-    _WORKER_STATE["context"] = context
+def _helper(worker: Callable, context: Any, todo: list, counter, conn) -> None:
+    """Spawned helper: claim, compute and send ``(index, value)`` until
+    the work list runs out; a raising cell is sent as ``(None, exc)``."""
+    try:
+        while (position := _claim(counter)) < len(todo):
+            index, unit = todo[position]
+            conn.send((index, worker(context, unit)))
+    except Exception as exc:
+        conn.send((None, exc))
 
 
-def _pool_call(indexed_unit: tuple[int, Any]) -> tuple[int, Any]:
-    index, unit = indexed_unit
-    return index, _WORKER_STATE["worker"](_WORKER_STATE["context"], unit)
+def _share(
+    worker: Callable, context: Any, todo: list, results: list, helpers: int
+) -> None:
+    """Compute every ``(index, unit)`` of ``todo`` into ``results`` on
+    this process plus ``helpers`` spawned processes.
+
+    All of them claim cells from one shared counter, so a grid that is
+    done before the helpers have started runs entirely in the caller.
+    Helpers still running once every result is in are terminated.
+    """
+    ctx = multiprocessing.get_context("spawn")
+    counter = ctx.Value("q", 0)
+    running: dict = {}
+    try:
+        for _ in range(helpers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_helper, args=(worker, context, todo, counter, send), daemon=True
+            )
+            proc.start()
+            send.close()  # EOF on ``recv`` now means the helper exited
+            running[recv] = proc
+        missing = len(todo)
+        while (position := _claim(counter)) < len(todo):
+            index, unit = todo[position]
+            results[index] = worker(context, unit)
+            missing -= 1
+        while missing:
+            if not running:
+                raise RuntimeError(
+                    f"sweep helper exited with {missing} claimed cell(s) unfinished"
+                )
+            for recv in multiprocessing.connection.wait(list(running)):
+                try:
+                    index, value = recv.recv()
+                except EOFError:
+                    running.pop(recv).join()
+                    recv.close()
+                    continue
+                if index is None:
+                    raise value
+                results[index] = value
+                missing -= 1
+    finally:
+        for recv, proc in running.items():
+            proc.terminate()
+            proc.join()
+            recv.close()
 
 
 def _observe_cache_counts(metrics, hits: int, misses: int) -> None:
@@ -275,11 +331,13 @@ def run_sweep(
 ) -> SweepOutcome:
     """Execute ``worker(context, unit)`` for every unit, in order.
 
-    ``jobs=1`` (the default) runs serially in-process — no pool, no
+    ``jobs=1`` (the default) runs serially in-process — no
     subprocesses, bit-for-bit the historical code path.  ``jobs > 1``
-    fans the unserved units out over a spawn pool of at most
-    :func:`usable_cpus` workers (one usable CPU means in-process); the
-    merge is by unit index, so the returned ``results`` list is
+    shares the unserved units between this process and up to
+    ``jobs - 1`` spawned helpers, at most :func:`usable_cpus` processes
+    in all (one usable CPU means in-process).  A cell that raises
+    re-raises here; a helper that dies mid-cell raises ``RuntimeError``.
+    The merge is by unit index, so the returned ``results`` list is
     identical to the serial one regardless of scheduling.
     ``stats.jobs`` records the requested ``jobs``.
 
@@ -314,26 +372,16 @@ def run_sweep(
         # more workers than usable CPUs only adds spawn start-up cost
         workers = min(jobs, len(pending), usable_cpus())
         if multiprocessing.current_process().daemon:
-            # pool workers are daemonic and may not spawn children; a
-            # nested sweep (e.g. a scenario fan-out running a parallel
-            # tuning sweep) degrades to serial instead of crashing
+            # helpers are daemonic and may not spawn children; a nested
+            # sweep (e.g. a scenario fan-out running a parallel tuning
+            # sweep) degrades to serial instead of crashing
             workers = 1
         if workers <= 1:
             for i in pending:
                 results[i] = worker(context, units[i])
         else:
-            ctx = multiprocessing.get_context("spawn")
-            chunksize = max(1, len(pending) // (workers * 4))
-            with ctx.Pool(
-                processes=workers,
-                initializer=_pool_init,
-                initargs=(worker, context),
-            ) as pool:
-                indexed = [(i, units[i]) for i in pending]
-                for index, value in pool.imap_unordered(
-                    _pool_call, indexed, chunksize
-                ):
-                    results[index] = value
+            todo = [(i, units[i]) for i in pending]
+            _share(worker, context, todo, results, workers - 1)
         if cache is not None:
             for i in pending:
                 cache.put(keys[i], units[i], results[i])

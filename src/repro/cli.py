@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--out", default="tuning_table.json")
     tune.add_argument(
         "--jobs", type=int, default=1,
-        help="fan sweep cells out over N spawn-pool workers (default: "
-        "serial; results are byte-identical either way)",
+        help="share sweep cells between this process and N-1 spawned "
+        "helpers (default: serial; results are byte-identical either way)",
     )
     tune.add_argument(
         "--cache", default=None, metavar="DIR", nargs="?", const=".sweep_cache",

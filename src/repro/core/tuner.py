@@ -19,8 +19,8 @@ Two measurement modes:
 Sweeps are embarrassingly parallel — every cell is a pure function of
 its coordinates — so :meth:`Tuner.build_table` decomposes the grid into
 picklable work units and hands them to the
-:mod:`repro.bench.sweep` engine: ``jobs=N`` fans cells out over a
-spawn pool, ``cache=`` serves unchanged cells from the content-addressed
+:mod:`repro.bench.sweep` engine: ``jobs=N`` shares cells between
+this process and spawned helpers, ``cache=`` serves unchanged cells from the content-addressed
 on-disk cache.  The merge replays the exact serial ordering, so the
 resulting table and report are byte-identical to a serial run.
 """
@@ -126,7 +126,7 @@ _SIM_OP_RUNNERS = {
 
 
 class _SweepContext:
-    """Picklable measurement context shipped once to each pool worker.
+    """Picklable measurement context shipped once to each sweep helper.
 
     Reconstructs (and memoizes) a :class:`Tuner` on first use in each
     process; the serial path binds the issuing tuner instead so the
@@ -174,7 +174,7 @@ class _SweepContext:
 
 def _measure_cell(context: _SweepContext, unit: tuple) -> float:
     """Sweep-engine worker: measure one (op, world size, msg, backend)
-    cell.  Top-level so the spawn pool can pickle it by reference."""
+    cell.  Top-level so spawned helpers can unpickle it by reference."""
     op_value, world_size, msg_bytes, backend = unit
     return context.tuner().measure(
         backend, OpFamily(op_value), msg_bytes, world_size
@@ -349,7 +349,7 @@ class Tuner:
     ) -> TuningReport:
         """Benchmark every combination and record the per-cell winner.
 
-        ``jobs > 1`` fans independent cells out over a spawn pool;
+        ``jobs > 1`` shares independent cells with spawned helpers;
         ``cache`` (a :class:`repro.bench.sweep.SweepCache`) serves
         already-measured cells from disk.  Both preserve byte-identical
         output relative to a serial, uncached sweep.

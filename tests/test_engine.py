@@ -1,8 +1,12 @@
-"""Discrete-event engine: clock, scheduling, flags, deadlocks, errors."""
+"""Discrete-event engine: clock, scheduling, flags, deadlocks, errors,
+baton handoffs and the resources (pipes, CPU mask) a run holds."""
+
+import os
 
 import pytest
 
 from repro.sim import DeadlockError, Engine, Flag, Simulator
+from repro.sim import simulator as simulator_mod
 from repro.sim.errors import SimError
 
 
@@ -199,6 +203,167 @@ class TestFailures:
 
     def test_empty_engine_runs(self):
         assert Engine().run() == 0.0
+
+
+class TestHandoffs:
+    """``Engine.handoffs`` counts baton passes to another thread.  The
+    pinned values are those of the raw-lock baton this engine replaced,
+    so a change that adds a park per op fails here on any host."""
+
+    def test_engine_program_exact(self):
+        engine = Engine()
+        flag = engine.new_flag("f")
+
+        def p0():
+            engine.sleep(1)
+            flag.fire(engine.now + 5)
+            engine.sleep(10)
+
+        def p1():
+            engine.wait_flag(flag)
+            engine.sleep(2)
+
+        def p2():
+            for _ in range(8):  # the last sleeps continue inline
+                engine.sleep(3)
+            # parks alone: the deadline pops p2 itself, an inline continue
+            assert not engine.wait_flag_deadline(engine.new_flag("x"), engine.now + 4)
+
+        for i, fn in enumerate((p0, p1, p2)):
+            engine.add_process(f"p{i}", fn)
+        assert engine.run() == 28.0
+        assert engine.handoffs == 11
+        assert engine.stats()["events_dispatched"] == 17
+
+    def test_collective_program_exact(self, monkeypatch):
+        from repro.cluster import lassen
+        from repro.core import MCRCommunicator
+
+        made = []
+
+        class Recording(Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(simulator_mod, "Engine", Recording)
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
+            for backend in ("nccl", "mvapich2-gdr", "nccl"):
+                comm.all_reduce(backend, ctx.virtual_tensor(1 << 16))
+            comm.synchronize()
+            comm.finalize()
+
+        Simulator(4, system=lassen()).run(main)
+        (engine,) = made
+        assert engine.handoffs == 32
+        assert engine.stats()["events_dispatched"] == 33
+
+    def test_not_part_of_stats(self):
+        # stats() feeds the metrics export, which is pinned byte-for-byte
+        engine = Engine()
+        engine.add_process("p", lambda: engine.sleep(1))
+        engine.run()
+        assert "handoffs" not in engine.stats()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestBatonPipes:
+    def _runs(self):
+        def sleeper(e):
+            e.sleep(1)
+
+        def stuck(e):
+            e.wait_flag(e.new_flag("never"))
+
+        def bad(e):
+            e.sleep(1)
+            raise ValueError("boom")
+
+        run_procs(sleeper, sleeper)
+        with pytest.raises(DeadlockError):
+            run_procs(stuck, stuck)
+        with pytest.raises(ValueError):
+            run_procs(bad, stuck)
+        never_run = Engine()
+        never_run.add_process("idle", lambda: None)
+
+    def test_every_exit_path_closes_its_pipes(self):
+        self._runs()  # warm up anything opened once per process
+        before = _open_fds()
+        for _ in range(5):
+            self._runs()
+        assert _open_fds() == before
+
+    def test_running_out_of_fds_closes_the_pipes_it_made(self):
+        resource = pytest.importorskip("resource")
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        run_procs(lambda e: e.sleep(1))  # warm up
+        before = _open_fds()
+        engine = Engine()
+        for i in range(16):  # 32 fds: only some of the pipes fit
+            engine.add_process(f"p{i}", lambda: engine.sleep(1))
+        # the fd limit bounds fd numbers: leave about 11 numbers free
+        taken = {int(fd) for fd in os.listdir("/proc/self/fd")}
+        limit = free = 0
+        while free < 11:
+            free += limit not in taken
+            limit += 1
+        resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+        try:
+            with pytest.raises(OSError):
+                engine.run()
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert _open_fds() == before
+
+
+#: the mask before any engine ran here (pytest imports every test
+#: module before it runs the first test)
+_START_MASK = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity")
+    or not hasattr(os, "sched_setaffinity")
+    or not os.path.exists("/proc/thread-self/stat"),
+    reason="needs sched_{get,set}affinity and /proc/thread-self",
+)
+
+
+@needs_affinity
+class TestCpuPinning:
+    def test_caller_mask_restored_after_success_and_failure(self):
+        mask = _START_MASK
+        os.sched_setaffinity(0, mask)  # in case an earlier run leaked a pin
+        run_procs(lambda e: e.sleep(1), lambda e: e.sleep(2))
+        assert os.sched_getaffinity(0) == mask
+
+        def bad(e):
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError):
+            run_procs(bad, lambda e: e.sleep(1))
+        assert os.sched_getaffinity(0) == mask
+
+    def test_ranks_run_on_one_cpu_of_the_callers_mask(self):
+        mask = _START_MASK
+        os.sched_setaffinity(0, mask)
+        seen = []
+
+        def body(e):
+            seen.append(os.sched_getaffinity(0))
+            e.sleep(1)
+            seen.append(os.sched_getaffinity(0))
+
+        run_procs(body, body)
+        assert len(seen) == 4
+        assert len(seen[0]) == 1 and seen[0] <= mask
+        assert all(s == seen[0] for s in seen)
 
 
 class TestSimulatorFacade:

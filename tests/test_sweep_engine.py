@@ -1,15 +1,19 @@
 """The parallel, incremental sweep engine (repro.bench.sweep).
 
-Covers the engine itself (deterministic merge, spawn-pool fan-out, the
+Covers the engine itself (deterministic merge, the caller sharing cells
+with spawned helpers, error and helper-death propagation, the
 content-addressed cache) and its two production call sites: the tuning
 suite (``Tuner.build_table``) and the Fig. 2 micro-benchmark sweep
-(``sweep_backends``).  Parallel-vs-serial tests use tiny grids — spawn
-pool startup costs ~1.5 s per test on a small host.
+(``sweep_backends``).  Parallel-vs-serial tests use tiny grids; tests
+that need a helper to run a cell make the caller's cells wait for it.
 """
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import pickle
+import time
 
 import pytest
 
@@ -29,7 +33,7 @@ from repro.core import Tuner
 from repro.obs.metrics import MetricsRegistry
 
 
-# workers must be top-level so the spawn pool can pickle them by name
+# workers must be top-level so spawned helpers can unpickle them by name
 def _affine(context, unit):
     return unit * 2 + context
 
@@ -40,6 +44,41 @@ def _returns_none(context, unit):
 
 def _pid(context, unit):
     return os.getpid()
+
+
+def _fails_on_three(context, unit):
+    if unit == 3:
+        raise ZeroDivisionError("cell 3")
+    return unit
+
+
+def _slow_float(context, unit):
+    time.sleep(0.01)
+    return (unit, unit / 7.0 + context)
+
+
+def _in_helper(marker) -> bool:
+    """True in a spawned helper (which touches ``marker``); in the
+    caller, wait (bounded) until some helper has done so."""
+    if multiprocessing.parent_process() is not None:
+        open(marker, "w").close()
+        return True
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(marker) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return False
+
+
+def _dies_in_helper(marker, unit):
+    if _in_helper(marker):
+        os._exit(3)
+    return unit
+
+
+def _raises_in_helper(marker, unit):
+    if _in_helper(marker):
+        raise KeyError("raised in a helper")
+    return unit
 
 
 def _keys_for(units):
@@ -72,10 +111,39 @@ class TestRunSweep:
         assert parallel.results == serial.results
         assert parallel.stats.jobs == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_cell_propagates_its_type(self, jobs):
+        with pytest.raises(ZeroDivisionError, match="cell 3"):
+            run_sweep(_fails_on_three, list(range(6)), jobs=jobs)
+
+    def test_helper_exception_reaches_the_caller(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 2)
+        with pytest.raises(KeyError, match="raised in a helper"):
+            run_sweep(_raises_in_helper, list(range(4)),
+                      context=str(tmp_path / "marker"), jobs=2)
+
+    def test_helper_dying_mid_cell_raises_instead_of_hanging(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="unfinished"):
+            run_sweep(_dies_in_helper, list(range(4)),
+                      context=str(tmp_path / "marker"), jobs=2)
+
+    def test_results_byte_identical_across_jobs(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 3)
+        units = list(range(80))
+        dumps = {
+            jobs: pickle.dumps(run_sweep(_slow_float, units, context=0.5,
+                                         jobs=jobs).results)
+            for jobs in (1, 2, 3)
+        }
+        assert dumps[1] == dumps[2] == dumps[3]
+
     def test_workers_capped_at_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(sweep_mod, "usable_cpus", lambda: 1)
         outcome = run_sweep(_pid, list(range(4)), jobs=4)
-        assert outcome.results == [os.getpid()] * 4  # no pool: in-process
+        assert outcome.results == [os.getpid()] * 4  # no helpers: in-process
         assert outcome.stats.jobs == 4  # the requested value
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
