@@ -37,10 +37,11 @@ compares them against the ``after`` side of the committed
   one retune.  Like ``obs_overhead``, it runs even when absent from the
   baseline.
 * **sweep engine**: the ``tune_sweep`` scenario runs the same
-  simulated-mode tuning sweep serial, parallel (4 workers), and warm
-  from the on-disk sweep cache.  The warm run must recompute **zero**
-  cells and finish under ``--sweep-warm-pct`` (default 25%) of the
-  serial wall; on hosts with >= 2 CPUs the parallel run must beat
+  simulated-mode tuning sweep serial, parallel (up to 4 workers,
+  capped at usable CPUs), and warm from the on-disk sweep cache.  The
+  warm run must recompute **zero** cells and finish under
+  ``--sweep-warm-pct`` (default 25%) of the serial wall; with >= 2
+  usable CPUs (the affinity mask) the parallel run must beat
   serial by at least ``--sweep-floor`` (default 1.3x — the engine
   targets >= 2x on 4 idle cores, the floor leaves CI headroom).  All
   three sweeps must agree byte-for-byte; that identity is part of the
@@ -200,12 +201,12 @@ def main(argv=None) -> int:
         if host_cpus >= 2 and speedup < args.sweep_floor:
             failures.append(
                 f"{TUNE_SCENARIO}: parallel sweep only {speedup:.2f}x serial "
-                f"on {host_cpus} CPUs (floor {args.sweep_floor:.2f}x)"
+                f"on {host_cpus} usable CPUs (floor {args.sweep_floor:.2f}x)"
             )
         parallel_note = (
             f"{speedup:.2f}x parallel"
             if host_cpus >= 2
-            else f"{speedup:.2f}x parallel (floor waived: {host_cpus} CPU host)"
+            else f"{speedup:.2f}x parallel (floor waived: {host_cpus} usable CPU)"
         )
         print(
             f"\nsweep engine: {parallel_note}, warm cache "

@@ -62,15 +62,17 @@ def _obs_metrics(overhead_pct: float) -> dict:
     }
 
 
-def _run_gate_with(monkeypatch, tmp_path, baseline_metrics, fresh_metrics):
+def _run_gate_with(
+    monkeypatch, tmp_path, baseline_metrics, fresh_metrics, scenario="obs_overhead"
+):
     perfgate = load_perfgate()
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps(
-        {"schema": 1, "after": {"scenarios": {"obs_overhead": baseline_metrics}}}
+        {"schema": 1, "after": {"scenarios": {scenario: baseline_metrics}}}
     ))
     monkeypatch.setattr(
         perfgate.perfregress, "run_scenarios",
-        lambda *a, **k: {"obs_overhead": fresh_metrics},
+        lambda *a, **k: {scenario: fresh_metrics},
     )
     return perfgate.main(
         ["--baseline", str(path), "--repeats", "1", "--tolerance", "1000"]
@@ -87,3 +89,32 @@ def test_gate_fails_when_obs_budget_exceeded(monkeypatch, tmp_path):
 def test_gate_passes_within_obs_budget(monkeypatch, tmp_path):
     ok = _obs_metrics(0.0)
     assert _run_gate_with(monkeypatch, tmp_path, ok, dict(ok)) == 0
+
+
+def _tune_metrics(parallel_speedup: float, host_cpus: int) -> dict:
+    # identical, cache-clean sweeps: only the parallel floor can fail
+    return {
+        "wall_s": 3.0,
+        "serial_wall_s": 1.5,
+        "warm_wall_s": 0.005,
+        "parallel_speedup": parallel_speedup,
+        "host_cpus": host_cpus,
+        "warm_recomputed": 0,
+        "sim_table_picks": {"allreduce@8": "nccl", "alltoall@8": "mvapich2-gdr"},
+        "sim_tables_identical": True,
+        "sim_samples_identical": True,
+    }
+
+
+def test_gate_fails_when_parallel_sweep_below_floor(monkeypatch, tmp_path):
+    slow = _tune_metrics(0.9, host_cpus=2)
+    assert _run_gate_with(
+        monkeypatch, tmp_path, slow, dict(slow), scenario="tune_sweep"
+    ) == 1
+
+
+def test_gate_waives_sweep_floor_on_one_usable_cpu(monkeypatch, tmp_path):
+    slow = _tune_metrics(0.9, host_cpus=1)
+    assert _run_gate_with(
+        monkeypatch, tmp_path, slow, dict(slow), scenario="tune_sweep"
+    ) == 0
